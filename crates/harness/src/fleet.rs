@@ -1,10 +1,12 @@
-//! Synthetic Green500: fleet-scale (system × suite × weighting × mean)
-//! TGI sweeps.
+//! Fleet sweeps: (system × suite × weighting × mean) TGI studies — the
+//! one sweep engine behind the synthetic Green500 and every core-count
+//! study.
 //!
-//! [`crate::GridSweep`] studies one machine across core counts; a
-//! [`FleetSweep`] studies *hundreds* of machines at full scale — the
-//! ROADMAP's synthetic Green500. The hot-path guarantees mirror PR 4's
-//! grid machinery, scaled up:
+//! Each row of a [`FleetSweep`] is one system at one scale:
+//! [`FleetSweep::system`] adds a machine at full size, as Green500 runs,
+//! and [`FleetSweep::system_at`] adds it at a chosen core count, so a
+//! cluster × cores grid (the Figure 5/6 axis) is the same spec added once
+//! per core count. The hot-path guarantees:
 //!
 //! * **Single-flight memoized simulation** — every system wraps its engine
 //!   in [`cluster_sim::MemoizedEngine`], whose sharded cache guarantees a
@@ -18,7 +20,8 @@
 //! * **Bit-identical at any thread count** — each cell is a pure function
 //!   of its point written at a fixed index, so
 //!   [`FleetSweep::run`] equals [`FleetSweep::run_sequential`] bitwise
-//!   (asserted in tests and the committed bench).
+//!   (asserted in tests and the committed bench), errors included: both
+//!   report the failure of the lowest failing point.
 //!
 //! The result is a structure-of-arrays [`FleetTable`]; its
 //! [`FleetTable::green500_ranking`] view sorts one (suite, weighting,
@@ -40,7 +43,7 @@ use tgi_telemetry::{QuantileHistogram, QuantileSummary};
 #[derive(Debug)]
 struct FleetSystem {
     engine: MemoizedEngine,
-    /// Process count for every suite: the full machine, as Green500 runs.
+    /// Process count for every suite.
     cores: usize,
 }
 
@@ -105,8 +108,16 @@ impl FleetSweep {
     }
 
     /// Appends one system, running at its full core count.
-    pub fn system(mut self, spec: ClusterSpec) -> Self {
+    pub fn system(self, spec: ClusterSpec) -> Self {
         let cores = spec.total_cores();
+        self.system_at(spec, cores)
+    }
+
+    /// Appends one system running every suite on `cores` processes. Add
+    /// the same spec once per core count to sweep its scale; each call is
+    /// one row of the table. A core count of 0 or above the machine's
+    /// total makes [`FleetSweep::run`] fail with [`TgiError::OutOfRange`].
+    pub fn system_at(mut self, spec: ClusterSpec, cores: usize) -> Self {
         self.names.push(spec.name.clone());
         self.systems
             .push(FleetSystem { engine: MemoizedEngine::new(ExecutionEngine::new(spec)), cores });
@@ -205,6 +216,17 @@ impl FleetSweep {
                 "a fleet sweep needs systems, a suite, weightings, and means",
             ));
         }
+        for system in &self.systems {
+            let total = system.engine.engine().cluster().total_cores();
+            if system.cores == 0 || system.cores > total {
+                return Err(TgiError::OutOfRange {
+                    quantity: "fleet core count",
+                    value: system.cores as f64,
+                    lo: 1.0,
+                    hi: total as f64,
+                });
+            }
+        }
         Ok(())
     }
 
@@ -238,8 +260,10 @@ impl FleetSweep {
     /// Evaluates the fleet in parallel over the rayon shim. Bit-identical
     /// to [`FleetSweep::run_sequential`] at any thread count.
     ///
-    /// Errors if an axis is empty or any evaluation fails (missing
-    /// reference entry, invalid weights, …).
+    /// Errors if an axis is empty, a row's core count does not fit its
+    /// machine, or any evaluation fails (missing reference entry, invalid
+    /// weights, …). Of several failing points, the lowest one's error is
+    /// returned, as [`FleetSweep::run_sequential`] would.
     pub fn run(&self, reference: &ReferenceSystem) -> Result<FleetTable, TgiError> {
         self.check_axes()?;
         let cells_per_point = self.weightings.len() * self.means.len();
@@ -254,7 +278,7 @@ impl FleetSweep {
         // and cell buffer across its whole chunk — per-worker state without
         // thread-locals, and still enough chunks to load every thread.
         let points_per_chunk = points.div_ceil(rayon::current_num_threads() * 4).max(1);
-        let first_error: Mutex<Option<TgiError>> = Mutex::new(None);
+        let first_error: Mutex<Option<(usize, TgiError)>> = Mutex::new(None);
         values.par_chunks_mut(points_per_chunk * cells_per_point).enumerate().for_each(
             |(chunk_idx, chunk)| {
                 let evaluator = TgiEvaluator::new(reference);
@@ -264,17 +288,21 @@ impl FleetSweep {
                 let mut cells = Vec::with_capacity(cells_per_point);
                 let base = chunk_idx * points_per_chunk;
                 for (i, slot) in chunk.chunks_mut(cells_per_point).enumerate() {
-                    match self.eval_point(&evaluator, base + i, &mut scratch, &mut cells) {
-                        Ok(()) => slot.copy_from_slice(&cells),
-                        Err(e) => {
-                            first_error.lock().expect("error slot").get_or_insert(e);
-                            return;
+                    let point = base + i;
+                    if let Err(e) = self.eval_point(&evaluator, point, &mut scratch, &mut cells) {
+                        // A chunk stops at its first failure, so the lowest
+                        // failing point overall is some chunk's first.
+                        let mut first = first_error.lock().expect("error slot");
+                        if first.as_ref().is_none_or(|(p, _)| point < *p) {
+                            *first = Some((point, e));
                         }
+                        return;
                     }
+                    slot.copy_from_slice(&cells);
                 }
             },
         );
-        if let Some(e) = first_error.into_inner().expect("error slot") {
+        if let Some((_, e)) = first_error.into_inner().expect("error slot") {
             return Err(e);
         }
         Ok(self.table(reference, values))
@@ -516,6 +544,7 @@ impl FleetTable {
 mod tests {
     use super::*;
     use crate::experiments::system_g_reference;
+    use crate::sweep::{FireSweep, FIRE_CORE_COUNTS};
     use cluster_sim::FleetConfig;
     use tgi_core::Tgi;
 
@@ -612,6 +641,88 @@ mod tests {
             no_systems.run_sequential(&reference),
             Err(TgiError::DegenerateStatistic(_))
         ));
+        // A core count the machine cannot host is an error, not a panic in
+        // a pool worker.
+        let fire = ClusterSpec::fire();
+        for cores in [0, fire.total_cores() + 1] {
+            let bad = FleetSweep::new()
+                .system_at(fire.clone(), cores)
+                .suite("fire", Workload::fire_suite())
+                .paper_axes();
+            for result in [bad.run(&reference), bad.run_sequential(&reference)] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(TgiError::OutOfRange { quantity: "fleet core count", .. })
+                    ),
+                    "cores={cores}: {result:?}"
+                );
+            }
+            assert_eq!(bad.memo_stats(), (0, 0), "cores={cores}: nothing simulated");
+        }
+    }
+
+    #[test]
+    fn parallel_errors_match_sequential_at_several_thread_counts() {
+        // The reference holds only HPL, so each suite fails with its own
+        // missing benchmark and every point fails; the lowest must win.
+        let hpl = Workload::system_g_suite()[0];
+        assert_eq!(hpl.benchmark_id(), "hpl");
+        let reference = ReferenceSystem::builder("hpl-only")
+            .benchmark(ExecutionEngine::new(ClusterSpec::system_g()).run(hpl, 1024).measurement())
+            .build()
+            .unwrap();
+        // A cold sweep whose lowest point simulates a long STREAM run (a
+        // full-length metered trace) while short IOzone points fail at
+        // once. With 3 systems × 2 suites the pool's first split hands
+        // point 3, an IOzone point, to another worker, so a "first error
+        // to arrive" policy would return the IOzone error.
+        let sweep = || {
+            FleetSweep::new()
+                .fleet(FleetConfig::new(5).systems(3).generate())
+                .suite("stream", vec![Workload::Stream { total_bytes: 1e16 }])
+                .suite("iozone", vec![Workload::Iozone { total_bytes: 1e9 }])
+                .weightings(&[Weighting::Arithmetic])
+                .means(&[MeanKind::Arithmetic])
+        };
+        let expected = sweep().run_sequential(&reference).unwrap_err();
+        assert_eq!(expected, TgiError::MissingReference("stream".into()));
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            for _ in 0..10 {
+                let got = pool.install(|| sweep().run(&reference)).unwrap_err();
+                assert_eq!(got, expected, "thread count {threads} changed the error");
+            }
+        }
+    }
+
+    #[test]
+    fn core_rows_match_the_fire_sweep_bitwise() {
+        // The paper's Fire sweep and the fleet engine are two paths to the
+        // same cells: one row per Fire core count must reproduce them.
+        let reference = system_g_reference();
+        let sweep = FIRE_CORE_COUNTS
+            .iter()
+            .fold(FleetSweep::new(), |sweep, &c| sweep.system_at(ClusterSpec::fire(), c))
+            .suite("fire", Workload::fire_suite())
+            .paper_axes();
+        let table = sweep.run(&reference).unwrap();
+        assert_eq!(table.cores(), FIRE_CORE_COUNTS);
+        let fire = FireSweep::run();
+        for (w, weighting) in table.weightings().iter().enumerate() {
+            for (m, &mean) in table.means().iter().enumerate() {
+                let expected = fire.tgi_values(&reference, weighting, mean).unwrap();
+                for (row, value) in expected.iter().enumerate() {
+                    assert_eq!(
+                        table.value(row, 0, w, m).to_bits(),
+                        value.to_bits(),
+                        "cores={} {weighting} {}",
+                        FIRE_CORE_COUNTS[row],
+                        mean.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use cluster_sim::{ClusterSpec, ExecutionEngine, Workload};
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
-use tgi_core::{MeanKind, Measurement, ReferenceSystem, TgiResult, Weighting};
+use tgi_core::{MeanKind, Measurement, ReferenceSystem, Weighting};
 
 /// The paper's Fire sweep: 16…128 cores in steps of 16 (one core-per-node
 /// granularity step per point on the 8-node cluster).
@@ -32,7 +32,11 @@ pub struct FireSweep {
 impl FireSweep {
     /// Runs the sweep on the Fire cluster with the paper's workload set.
     pub fn run() -> Self {
-        Self::run_with(ClusterSpec::fire(), &Workload::fire_suite(), &FIRE_CORE_COUNTS)
+        Self::run_on(
+            ExecutionEngine::new(ClusterSpec::fire()),
+            &Workload::fire_suite(),
+            &FIRE_CORE_COUNTS,
+        )
     }
 
     /// Runs the paper's sweep with run-to-run performance noise (relative
@@ -41,11 +45,6 @@ impl FireSweep {
     pub fn run_noisy(sigma: f64, seed: u64) -> Self {
         let engine = ExecutionEngine::new(ClusterSpec::fire()).with_run_noise(sigma, seed);
         Self::run_on(engine, &Workload::fire_suite(), &FIRE_CORE_COUNTS)
-    }
-
-    /// Runs a custom sweep.
-    pub fn run_with(cluster: ClusterSpec, workloads: &[Workload], cores: &[usize]) -> Self {
-        Self::run_on(ExecutionEngine::new(cluster), workloads, cores)
     }
 
     /// Runs a sweep on a pre-configured engine (noise, DVFS, meter serial).
@@ -83,39 +82,10 @@ impl FireSweep {
             .collect()
     }
 
-    /// TGI at every sweep point under a weighting scheme, with full
-    /// per-benchmark contribution breakdowns.
-    ///
-    /// One [`TgiEvaluator`] serves the whole series — the reference is
-    /// resolved once, and no measurements or weightings are cloned per
-    /// point. Values are bit-identical to the `Tgi::builder` path.
-    pub fn tgi_series(
-        &self,
-        reference: &ReferenceSystem,
-        weighting: Weighting,
-    ) -> Result<Vec<(f64, TgiResult)>, tgi_core::TgiError> {
-        let evaluator = TgiEvaluator::new(reference);
-        let mut scratch = EvalScratch::default();
-        self.points
-            .iter()
-            .map(|p| {
-                evaluator
-                    .evaluate_result_with(
-                        &p.measurements,
-                        &weighting,
-                        MeanKind::Arithmetic,
-                        &mut scratch,
-                    )
-                    .map(|r| (p.cores as f64, r))
-            })
-            .collect()
-    }
-
-    /// Bare TGI values at every sweep point — the allocation-light path for
-    /// correlation studies that only need the scalar (Table II).
-    ///
-    /// Bitwise-identical to mapping [`FireSweep::tgi_series`] results
-    /// through [`TgiResult::value`], without building contribution vectors.
+    /// TGI at every sweep point, in core order — the scalar the figures and
+    /// correlation studies (Table II) need. One [`TgiEvaluator`] serves the
+    /// whole series, so the reference is resolved once; values are
+    /// bit-identical to the `Tgi::builder` path.
     pub fn tgi_values(
         &self,
         reference: &ReferenceSystem,
@@ -134,7 +104,6 @@ impl FireSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::system_g_reference;
 
     #[test]
     fn sweep_covers_all_core_counts() {
@@ -156,31 +125,6 @@ mod tests {
             assert!(series.iter().all(|&(_, ee)| ee > 0.0), "{b}");
         }
         assert!(sweep.efficiency_series("nonexistent").is_empty());
-    }
-
-    #[test]
-    fn tgi_series_has_one_value_per_point() {
-        let sweep = FireSweep::run();
-        let reference = system_g_reference();
-        let series = sweep.tgi_series(&reference, Weighting::Arithmetic).unwrap();
-        assert_eq!(series.len(), 8);
-        assert!(series.iter().all(|(_, r)| r.value() > 0.0));
-    }
-
-    #[test]
-    fn tgi_values_match_tgi_series_bitwise() {
-        let sweep = FireSweep::run();
-        let reference = system_g_reference();
-        for weighting in
-            [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power]
-        {
-            let series = sweep.tgi_series(&reference, weighting.clone()).unwrap();
-            let values = sweep.tgi_values(&reference, &weighting, MeanKind::Arithmetic).unwrap();
-            assert_eq!(series.len(), values.len());
-            for ((_, r), v) in series.iter().zip(&values) {
-                assert_eq!(r.value().to_bits(), v.to_bits(), "{weighting}");
-            }
-        }
     }
 
     #[test]

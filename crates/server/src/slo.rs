@@ -17,7 +17,7 @@ use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
-use tgi_telemetry::export::{prom_label_value, prom_name};
+use tgi_telemetry::export::{prom_label_value, prom_name, prom_summary};
 use tgi_telemetry::QuantileHistogram;
 
 /// Seconds of per-second history the burn-rate ring retains (covers the
@@ -314,18 +314,8 @@ impl SloTracker {
             if slo.latency.count() == 0 {
                 continue;
             }
-            let label = prom_label_value(slo.endpoint.label());
-            for (q, tag) in [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-                let v = slo.latency.quantile(q).unwrap_or(0.0);
-                out.push_str(&format!(
-                    "{latency}{{endpoint=\"{label}\",quantile=\"{tag}\"}} {v}\n"
-                ));
-            }
-            out.push_str(&format!("{latency}_sum{{endpoint=\"{label}\"}} {}\n", slo.latency.sum()));
-            out.push_str(&format!(
-                "{latency}_count{{endpoint=\"{label}\"}} {}\n",
-                slo.latency.count()
-            ));
+            let labels = format!("endpoint=\"{}\"", prom_label_value(slo.endpoint.label()));
+            prom_summary(out, &latency, &labels, &slo.latency.summary());
         }
 
         let good = prom_name("tgi_server_slo_good_total");

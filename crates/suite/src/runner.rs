@@ -228,11 +228,8 @@ impl SuiteRunner {
             drop(write_guard);
             drop(read_guard);
             if tgi_telemetry::enabled() {
-                tgi_telemetry::histogram!(
-                    "tgi_suite_attempt_seconds",
-                    &[0.001, 0.01, 0.1, 1.0, 10.0, 100.0]
-                )
-                .observe(attempt_started.elapsed().as_secs_f64());
+                tgi_telemetry::histogram!("tgi_suite_attempt_seconds")
+                    .observe(attempt_started.elapsed().as_secs_f64());
             }
             match result {
                 Ok(output) => break RunOutcome::Success(output),

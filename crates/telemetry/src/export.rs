@@ -8,6 +8,7 @@
 
 use crate::collector::{Event, EventKind};
 use crate::metrics::MetricsSnapshot;
+use crate::quantile::QuantileSummary;
 use crate::span::FieldValue;
 use std::fmt::Write as _;
 use std::io;
@@ -208,20 +209,29 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", prom_f64(*value));
     }
-    for hist in &snapshot.histograms {
-        let name = prom_name(&hist.name);
-        prom_help_line(&mut out, &name, &hist.name);
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cumulative = 0u64;
-        for (bound, bucket) in hist.bounds.iter().zip(hist.buckets.iter()) {
-            cumulative += bucket;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", prom_f64(*bound));
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count);
-        let _ = writeln!(out, "{name}_sum {}", prom_f64(hist.sum));
-        let _ = writeln!(out, "{name}_count {}", hist.count);
+    for (raw, summary) in &snapshot.histograms {
+        let name = prom_name(raw);
+        prom_help_line(&mut out, &name, raw);
+        let _ = writeln!(out, "# TYPE {name} summary");
+        prom_summary(&mut out, &name, "", summary);
     }
     out
+}
+
+/// Appends the samples of one Prometheus `summary` series: the p50, p99
+/// and p999 quantile lines, then `_sum` and `_count`. `name` must already
+/// be sanitized ([`prom_name`]); `labels` is an escaped label list such as
+/// `endpoint="ingest"` ([`prom_label_value`]), or empty. Quantiles of an
+/// empty sketch render as `NaN`, as Prometheus client libraries do.
+pub fn prom_summary(out: &mut String, name: &str, labels: &str, summary: &QuantileSummary) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    for (tag, v) in [("0.5", summary.p50), ("0.99", summary.p99), ("0.999", summary.p999)] {
+        let v = if summary.count == 0 { f64::NAN } else { v };
+        let _ = writeln!(out, "{name}{{{labels}{sep}quantile=\"{tag}\"}} {}", prom_f64(v));
+    }
+    let labels = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
+    let _ = writeln!(out, "{name}_sum{labels} {}", prom_f64(summary.sum));
+    let _ = writeln!(out, "{name}_count{labels} {}", summary.count);
 }
 
 /// Writes [`chrome_trace`] output to `path`, creating parent directories.
@@ -251,7 +261,6 @@ fn write_with_parents(path: &Path, contents: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
 
     /// Minimal exposition-format parser: returns `(helps, types, samples)`
     /// keyed by metric name, enforcing the line grammar as it goes.
@@ -268,7 +277,7 @@ mod tests {
                 helps.push((name.to_string(), help.to_string()));
             } else if let Some(rest) = line.strip_prefix("# TYPE ") {
                 let (name, kind) = rest.split_once(' ').expect("TYPE has name and kind");
-                assert!(matches!(kind, "counter" | "gauge" | "histogram"), "unknown TYPE {kind}");
+                assert!(matches!(kind, "counter" | "gauge" | "summary"), "unknown TYPE {kind}");
                 types.push((name.to_string(), kind.to_string()));
             } else if !line.is_empty() {
                 let (series, value) = line.rsplit_once(' ').expect("sample has value");
@@ -282,6 +291,7 @@ mod tests {
                     "name {name:?} starts with a digit"
                 );
                 let value: f64 = match value {
+                    "NaN" => f64::NAN,
                     "+Inf" => f64::INFINITY,
                     "-Inf" => f64::NEG_INFINITY,
                     v => v.parse().unwrap_or_else(|_| panic!("bad value {v:?}")),
@@ -301,13 +311,18 @@ mod tests {
         let snapshot = MetricsSnapshot {
             counters: vec![("export.test/requests-per-sec".to_string(), 42)],
             gauges: vec![("9starts_with_digit".to_string(), 1.5)],
-            histograms: vec![HistogramSnapshot {
-                name: "export.test.latency".to_string(),
-                bounds: vec![0.1, 1.0],
-                buckets: vec![3, 2, 1],
-                sum: 2.25,
-                count: 6,
-            }],
+            histograms: vec![(
+                "export.test.latency".to_string(),
+                QuantileSummary {
+                    count: 6,
+                    sum: 2.25,
+                    min: 0.05,
+                    max: 1.5,
+                    p50: 0.25,
+                    p99: 1.5,
+                    p999: 1.5,
+                },
+            )],
         };
         let text = prometheus(&snapshot);
         let (helps, types, samples) = parse_exposition(&text);
@@ -330,13 +345,34 @@ mod tests {
         assert!(samples.contains(&("export_test_latency_sum".to_string(), 2.25)));
         assert!(samples.contains(&("export_test_latency_count".to_string(), 6.0)));
 
-        // Histogram buckets are cumulative and end at count.
-        let buckets: Vec<f64> = samples
-            .iter()
-            .filter(|(n, _)| n == "export_test_latency_bucket")
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(buckets, vec![3.0, 5.0, 6.0]);
+        // Histograms are summaries: the three quantile lines, in order.
+        let quantiles: Vec<f64> =
+            samples.iter().filter(|(n, _)| n == "export_test_latency").map(|(_, v)| *v).collect();
+        assert_eq!(quantiles, vec![0.25, 1.5, 1.5]);
+        assert!(text.contains("export_test_latency{quantile=\"0.99\"} 1.5\n"), "{text}");
+    }
+
+    #[test]
+    fn summary_lines_carry_labels_and_empty_quantiles_are_nan() {
+        let empty = QuantileSummary {
+            count: 0,
+            sum: 0.0,
+            min: 0.0,
+            max: 0.0,
+            p50: 0.0,
+            p99: 0.0,
+            p999: 0.0,
+        };
+        let mut out = String::new();
+        prom_summary(&mut out, "lat", "endpoint=\"a\"", &empty);
+        assert_eq!(
+            out,
+            "lat{endpoint=\"a\",quantile=\"0.5\"} NaN\n\
+             lat{endpoint=\"a\",quantile=\"0.99\"} NaN\n\
+             lat{endpoint=\"a\",quantile=\"0.999\"} NaN\n\
+             lat_sum{endpoint=\"a\"} 0\n\
+             lat_count{endpoint=\"a\"} 0\n"
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * **Metrics** ([`metrics::counter`], [`metrics::gauge`],
 //!   [`metrics::histogram`], or the caching [`counter!`]/[`gauge!`]/
 //!   [`histogram!`] macros) are registered once in a global registry and
-//!   recorded with single atomic operations — no locks on the hot path.
+//!   recorded with atomic operations — no locks on the hot path.
+//!   Histograms are [`QuantileHistogram`] sketches (1% relative error).
 //! * **Exporters** ([`export`]) render a drained event stream as JSONL, the
 //!   metrics registry as Prometheus text exposition, and a whole run as
 //!   Chrome `trace_event` JSON that opens directly in `chrome://tracing` or
@@ -52,7 +53,7 @@ pub mod span;
 pub mod summary;
 
 pub use collector::{drain, install, installed, uninstall, Event, EventKind};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricsSnapshot};
 pub use quantile::{QuantileHistogram, QuantileSummary};
 pub use recorder::RecorderStats;
 pub use span::{instant, span, span_cat, FieldValue, Span};

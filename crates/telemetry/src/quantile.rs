@@ -1,6 +1,6 @@
 //! Log-linear quantile histogram with a provable relative-error bound.
 //!
-//! [`QuantileHistogram`] replaces fixed-bucket latency histograms for
+//! [`QuantileHistogram`] is the workspace's one histogram type, built for
 //! quantile queries: buckets are spaced geometrically with ratio
 //! `γ = (1+α)/(1−α)`, so the bucket holding a value `v` spans
 //! `(γ^(k-1), γ^k]` and the mid-bucket estimate `2γ^k/(γ+1)` is off by at
@@ -15,9 +15,12 @@
 //! configured `[min_value, max_value]` range are clamped into the edge
 //! buckets — the error bound is advertised for in-range values only.
 //!
-//! Unlike spans and metrics, this type is a plain data structure: it does
-//! **not** gate on [`crate::enabled`], so latency tracking (load
-//! generators, server SLOs) works even when the collector is compiled out.
+//! A sketch built with [`QuantileHistogram::new`] is a plain data
+//! structure: it does **not** gate on [`crate::enabled`], so latency
+//! tracking (load generators, server SLOs) works even when the collector
+//! is compiled out. The registry's sketches ([`crate::metrics::histogram`],
+//! [`crate::histogram!`]) are metrics like counters and gauges: they record
+//! only while a collector is installed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,6 +54,8 @@ pub struct QuantileHistogram {
     /// on the bits are exact.
     min_bits: AtomicU64,
     max_bits: AtomicU64,
+    /// Registry sketches drop observations while no collector is installed.
+    gated: bool,
 }
 
 impl QuantileHistogram {
@@ -95,7 +100,14 @@ impl QuantileHistogram {
             sum_bits: AtomicU64::new(0),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(0),
+            gated: false,
         }
+    }
+
+    /// The registry's sketch: [`DEFAULT_ALPHA`] over the default range,
+    /// recording only while a collector is installed.
+    pub(crate) fn registered() -> Self {
+        QuantileHistogram { gated: true, ..Self::new(DEFAULT_ALPHA) }
     }
 
     /// The configured relative-error bound.
@@ -110,9 +122,13 @@ impl QuantileHistogram {
     }
 
     /// Records one observation. Invalid inputs (NaN, negatives) count
-    /// into the underflow bucket as `min_value`.
+    /// into the underflow bucket as `min_value`. A registry sketch ignores
+    /// the call while no collector is installed.
     #[inline]
     pub fn observe(&self, v: f64) {
+        if self.gated && !crate::enabled() {
+            return;
+        }
         let clamped = if v.is_finite() && v > 0.0 {
             v.clamp(self.min_value, self.max_value)
         } else {
@@ -239,6 +255,19 @@ impl QuantileHistogram {
                 Err(observed) => current = observed,
             }
         }
+    }
+
+    /// Forgets every observation in place, so holders of a shared
+    /// reference (the [`crate::histogram!`] callsite caches) keep a valid,
+    /// empty sketch. Observations racing with the reset may survive it.
+    pub fn reset(&self) {
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum_bits.store(0, Ordering::Relaxed);
+        self.min_bits.store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+        self.max_bits.store(0, Ordering::Relaxed);
     }
 
     /// A plain-data summary: count, sum, extrema, and the standard
@@ -419,6 +448,20 @@ mod tests {
         let sum = hist.sum();
         let exact: f64 = (1..=40_000u64).map(|i| i as f64 * 1e-5).sum();
         assert!((sum - exact).abs() / exact < 1e-9, "sum {sum} vs {exact}");
+    }
+
+    #[test]
+    fn reset_empties_in_place() {
+        let hist = QuantileHistogram::new(0.01);
+        for v in [0.5, 2.0, 8.0] {
+            hist.observe(v);
+        }
+        hist.reset();
+        assert_eq!(hist.summary(), QuantileHistogram::new(0.01).summary());
+        hist.observe(0.25);
+        assert_eq!(hist.count(), 1);
+        assert_eq!(hist.min(), Some(0.25));
+        assert_eq!(hist.max(), Some(0.25));
     }
 
     #[test]

@@ -92,13 +92,9 @@ pub fn summary(events: &[Event], snapshot: &MetricsSnapshot) -> String {
     }
     if !snapshot.histograms.is_empty() {
         let _ = writeln!(out, "histograms:");
-        for hist in &snapshot.histograms {
-            let mean = if hist.count > 0 { hist.sum / hist.count as f64 } else { 0.0 };
-            let _ = writeln!(
-                out,
-                "  {}: count={} sum={:.6} mean={:.6}",
-                hist.name, hist.count, hist.sum, mean
-            );
+        for (name, h) in &snapshot.histograms {
+            let _ =
+                writeln!(out, "  {name}: count={} sum={:.6} mean={:.6}", h.count, h.sum, h.mean());
         }
     }
     out

@@ -126,7 +126,7 @@ fn jsonl_and_prometheus_exports_parse() {
         let _span = tgi_telemetry::span("fmt.work").field("label", "a\"b\\c\nd");
         tgi_telemetry::counter!("fmt_ops_total").add(3);
         tgi_telemetry::gauge!("fmt_ratio").set(0.25);
-        tgi_telemetry::histogram!("fmt_seconds", &[0.1, 1.0, 10.0]).observe(0.5);
+        tgi_telemetry::histogram!("fmt_seconds").observe(0.5);
     }
     let snapshot = tgi_telemetry::metrics::snapshot();
     let events = tgi_telemetry::uninstall();
@@ -153,8 +153,15 @@ fn jsonl_and_prometheus_exports_parse() {
     assert!(prom.contains("fmt_ops_total 3"));
     assert!(prom.contains("# TYPE fmt_ratio gauge"));
     assert!(prom.contains("fmt_ratio 0.25"));
-    assert!(prom.contains("# TYPE fmt_seconds histogram"));
-    assert!(prom.contains("fmt_seconds_bucket{le=\"1\"} 1"));
-    assert!(prom.contains("fmt_seconds_bucket{le=\"+Inf\"} 1"));
+    assert!(prom.contains("# TYPE fmt_seconds summary"));
+    let p50: f64 = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("fmt_seconds{quantile=\"0.5\"} "))
+        .expect("p50 line")
+        .parse()
+        .unwrap();
+    assert!((p50 - 0.5).abs() <= 0.01 * 0.5, "p50 {p50} outside the 1% bound");
+    assert!(prom.contains("fmt_seconds{quantile=\"0.999\"} "));
+    assert!(prom.contains("fmt_seconds_sum 0.5"));
     assert!(prom.contains("fmt_seconds_count 1"));
 }

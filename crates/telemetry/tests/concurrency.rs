@@ -90,12 +90,19 @@ fn repeated_install_uninstall_cycles_stay_clean() {
             for _ in 0..2 {
                 scope.spawn(|| {
                     let _span = tgi_telemetry::span("cycle.work");
+                    tgi_telemetry::histogram!("cycle_seconds").observe(0.5);
                 });
             }
         });
+        let snapshot = tgi_telemetry::metrics::snapshot();
         let events = tgi_telemetry::uninstall();
         let count = events.iter().filter(|e| e.name == "cycle.work").count();
         assert_eq!(count, 2, "cycle {cycle}: no leakage between sessions");
+        // install() resets the cached sketch in place: each session counts
+        // only its own observations.
+        let (_, cycle_seconds) =
+            snapshot.histograms.iter().find(|(n, _)| n == "cycle_seconds").expect("registered");
+        assert_eq!(cycle_seconds.count, 2, "cycle {cycle}: histogram reset in place");
     }
 }
 
@@ -107,8 +114,9 @@ fn nothing_recorded_while_uninstalled() {
         let _span = tgi_telemetry::span("ghost").field("x", 1u64);
         tgi_telemetry::counter!("ghost_total").add(5);
         tgi_telemetry::gauge!("ghost_gauge").set(1.0);
-        tgi_telemetry::histogram!("ghost_hist", &[1.0]).observe(0.5);
+        tgi_telemetry::histogram!("ghost_hist").observe(0.5);
     }
+    assert_eq!(tgi_telemetry::metrics::histogram("ghost_hist").count(), 0, "sketch stays free");
     assert!(tgi_telemetry::install());
     let events = tgi_telemetry::uninstall();
     assert!(events.iter().all(|e| e.name != "ghost"));

@@ -4,15 +4,23 @@
 //! cargo run --release --example green500
 //! ```
 //!
-//! Where `green500_ranking` ranks a handful of hand-built Fire variants,
-//! this example runs the machinery at list scale: 500 clusters sampled
-//! from Top500-style distributions ([`tgi::cluster::FleetConfig`]), every
-//! one simulated and scored across the paper's full weighting × mean grid
-//! in one parallel [`tgi::harness::FleetSweep`], then the energy-weighted
-//! geometric column sorted into a Green500-style top 20.
+//! Three views from one sweep engine:
+//!
+//! 1. List scale: 500 clusters sampled from Top500-style distributions
+//!    ([`tgi::cluster::FleetConfig`]), every one simulated and scored
+//!    across the paper's full weighting × mean grid in one parallel
+//!    [`tgi::harness::FleetSweep`], then the energy-weighted geometric
+//!    column sorted into a Green500-style top 20.
+//! 2. Scale: Fire vs Fire-GPU at every paper core count, one
+//!    [`FleetSweep::system_at`] row per (cluster, cores) point.
+//! 3. The built-in presets ranked side by side under FLOPS/W and TGI
+//!    ([`tgi::harness::list::Green500StyleList`]), showing which systems
+//!    move when the whole machine is scored.
 
-use tgi::cluster::{FleetConfig, Workload};
+use tgi::cluster::{ClusterSpec, FleetConfig, Workload};
 use tgi::core::{MeanKind, Weighting};
+use tgi::harness::list::{builtin_fleet, Green500StyleList};
+use tgi::harness::sweep::FIRE_CORE_COUNTS;
 use tgi::harness::{system_g_reference, FleetSweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,6 +80,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         misses,
         sweep.duplicate_simulations(),
         table.weightings().len() * table.means().len()
+    );
+
+    // The same engine across scale: Fire and Fire-GPU at every Figure 5
+    // core count, one row per (cluster, cores) point.
+    let grid = [ClusterSpec::fire(), ClusterSpec::fire_gpu()]
+        .into_iter()
+        .flat_map(|spec| FIRE_CORE_COUNTS.map(|cores| (spec.clone(), cores)))
+        .fold(FleetSweep::new(), |sweep, (spec, cores)| sweep.system_at(spec, cores))
+        .suite("fire", Workload::fire_suite())
+        .paper_axes()
+        .run(&reference)?;
+    let n = FIRE_CORE_COUNTS.len();
+    println!(
+        "
+TGI vs cores, energy-weighted geometric:"
+    );
+    println!("{:>6} {:>10} {:>10}", "Cores", grid.systems()[0], grid.systems()[n]);
+    for (k, cores) in FIRE_CORE_COUNTS.iter().enumerate() {
+        println!(
+            "{cores:>6} {:>10.4} {:>10.4}",
+            grid.value(k, 0, weighting, mean),
+            grid.value(n + k, 0, weighting, mean)
+        );
+    }
+
+    println!(
+        "
+{}",
+        Green500StyleList::build(&reference, &builtin_fleet())?.to_table().to_text()
     );
     Ok(())
 }
