@@ -9,18 +9,61 @@
 //! throughput through the WAL-first append path, cold-query latency from
 //! a freshly opened store, and — checked sample-for-sample here — that
 //! every store answer is `to_bits`-identical to the in-memory oracle
-//! while the decompression counter proves each window query touched at
-//! most its two boundary chunks.
+//! while the decompression counters prove each window query decoded at
+//! most two restart blocks and at most `2 K` samples.
+//!
+//! The `layers` rows split one cold boundary lookup into the store's own
+//! steps, run through the same `chunk` functions the store calls: footer
+//! and restart-index binary search, the block read, and the CRC check plus
+//! streaming decode and chain integration.
 
 use power_model::PowerTrace;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
-use tgi_trace_store::{StoreConfig, TraceStore};
+use tgi_trace_store::chunk::{self, SealedChunk, RESTART_INTERVAL};
+use tgi_trace_store::{StoreConfig, TraceStore, SEGMENT_FILE};
 
+/// What the numbers depend on besides the code.
 #[derive(Serialize)]
 struct Machine {
     available_parallelism: usize,
+    arch: &'static str,
+    cpu_model: String,
+    tgi_num_threads: String,
+    commit: String,
+}
+
+impl Machine {
+    fn probe() -> Machine {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name")?.split(':').nth(1))
+                    .map(|m| m.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        Machine {
+            available_parallelism: std::thread::available_parallelism().map_or(1, |t| t.get()),
+            arch: std::env::consts::ARCH,
+            cpu_model,
+            tgi_num_threads: std::env::var("TGI_NUM_THREADS").unwrap_or_default(),
+            commit: commit().unwrap_or_else(|| "unknown".to_string()),
+        }
+    }
+}
+
+/// The checked-out commit, suffixed `-dirty` when tracked files differ
+/// from it, so a result never names code it did not run.
+fn commit() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()?;
+    let id = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !id.is_empty()).then_some(id)
 }
 
 #[derive(Serialize)]
@@ -45,7 +88,19 @@ struct ColdQuery {
     energy_between_us_per_query: f64,
     memory_oracle_ns_per_query: f64,
     max_chunks_decompressed_per_query: u64,
+    restart_interval: usize,
+    max_samples_decoded_per_query: u64,
     footer_only_total_energy_ns: f64,
+}
+
+/// One cold boundary lookup, step by step (per boundary that lands inside
+/// a sealed chunk).
+#[derive(Serialize)]
+struct Layers {
+    boundaries: usize,
+    footer_search_ns: f64,
+    block_read_us: f64,
+    decode_integrate_us: f64,
 }
 
 #[derive(Serialize)]
@@ -62,6 +117,7 @@ struct Baseline {
     ingest: Ingest,
     storage: Storage,
     cold_query: ColdQuery,
+    layers: Layers,
     parity: Parity,
 }
 
@@ -124,10 +180,13 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(100_000_000);
-    let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
+    let machine = Machine::probe();
     let chunk_samples = StoreConfig::default().chunk_samples;
     let batch_samples = 1_000_000.min(n.max(1));
-    eprintln!("trace_store: {n} samples, chunk {chunk_samples}, {n_threads} thread(s)");
+    eprintln!(
+        "trace_store: {n} samples, chunk {chunk_samples}, K {RESTART_INTERVAL}, {} thread(s)",
+        machine.available_parallelism
+    );
 
     let dir = std::env::temp_dir().join(format!("tgi_store_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -208,13 +267,14 @@ fn main() {
 
     let mut windows_bitwise_equal = 0usize;
     let mut max_decomp = 0u64;
+    let mut max_decoded = 0u64;
     store.reset_decompressions();
     let start = Instant::now();
     for &(a, b) in &windows {
-        let before = store.decompressions();
+        let before = (store.decompressions(), store.decoded_samples());
         let got = store.energy_between(a, b).expect("store query");
-        let used = store.decompressions() - before;
-        max_decomp = max_decomp.max(used);
+        max_decomp = max_decomp.max(store.decompressions() - before.0);
+        max_decoded = max_decoded.max(store.decoded_samples() - before.1);
         if got.to_bits() == oracle.energy_between(a, b).value().to_bits() {
             windows_bitwise_equal += 1;
         }
@@ -225,6 +285,14 @@ fn main() {
         max_decomp <= 2,
         "a window query decompressed {max_decomp} chunks (boundary-only bound is 2)"
     );
+    // The restart-point claim: each boundary decodes at most one block of
+    // K samples, never a whole chunk.
+    assert!(
+        max_decoded <= 2 * RESTART_INTERVAL as u64,
+        "a window query decoded {max_decoded} samples (bound is 2 K = {})",
+        2 * RESTART_INTERVAL
+    );
+    let layers = boundary_layers(&dir, store.sealed(), &windows);
 
     // The same window set against the in-memory prefix index, for scale.
     let start = Instant::now();
@@ -252,27 +320,70 @@ fn main() {
         energy_between_us_per_query: cold_us,
         memory_oracle_ns_per_query: memory_ns,
         max_chunks_decompressed_per_query: max_decomp,
+        restart_interval: RESTART_INTERVAL,
+        max_samples_decoded_per_query: max_decoded,
         footer_only_total_energy_ns: footer_ns,
     };
     eprintln!(
-        "  cold energy_between: {cold_us:.1} us/query (≤{max_decomp} chunks), \
-         memory oracle {memory_ns:.0} ns, footer-only total {footer_ns:.0} ns"
+        "  cold energy_between: {cold_us:.1} us/query (≤{max_decomp} blocks, ≤{max_decoded} \
+         samples), memory oracle {memory_ns:.0} ns, footer-only total {footer_ns:.0} ns"
+    );
+    eprintln!(
+        "  per boundary ({}): footer search {:.0} ns, block read {:.1} us, \
+         decode+integrate {:.1} us",
+        layers.boundaries,
+        layers.footer_search_ns,
+        layers.block_read_us,
+        layers.decode_integrate_us
     );
 
     let parity =
         Parity { energy_total_bitwise_equal, windows_checked: queries, windows_bitwise_equal };
 
-    let baseline = Baseline {
-        machine: Machine { available_parallelism: n_threads },
-        samples: n,
-        ingest,
-        storage,
-        cold_query,
-        parity,
-    };
+    let baseline = Baseline { machine, samples: n, ingest, storage, cold_query, layers, parity };
     let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
     let path = output_path();
     std::fs::write(&path, json + "\n").expect("baseline file writable");
     eprintln!("trace_store: wrote {}", path.display());
     drop(scratch);
+}
+
+/// Times the three steps of every window boundary that lands strictly
+/// inside a sealed chunk, each step over all boundaries in one loop:
+/// footer plus restart-index search, the block read, and the CRC check
+/// with the streaming decode and chain integration.
+fn boundary_layers(dir: &Path, sealed: &[SealedChunk], windows: &[(f64, f64)]) -> Layers {
+    let bounds: Vec<f64> = windows.iter().flat_map(|&(a, b)| [a, b]).collect();
+    let start = Instant::now();
+    let hits: Vec<(usize, usize)> = bounds
+        .iter()
+        .filter_map(|&t| {
+            let c = sealed.partition_point(|s| s.meta.first_t <= t).checked_sub(1)?;
+            let m = &sealed[c].meta;
+            (t > m.first_t && t < m.last_t).then(|| (c, sealed[c].block_for(t)))
+        })
+        .collect();
+    let search_s = start.elapsed().as_secs_f64();
+    let mut file = std::fs::File::open(dir.join(SEGMENT_FILE)).expect("segment opens");
+    let start = Instant::now();
+    let blocks: Vec<Vec<u8>> = hits
+        .iter()
+        .map(|&(c, b)| chunk::read_block(&mut file, &sealed[c].meta, &sealed[c].blocks[b]))
+        .collect::<Result<_, _>>()
+        .expect("blocks read");
+    let read_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let mut sink = 0.0;
+    for (&(c, b), bytes) in hits.iter().zip(&blocks) {
+        chunk::walk_block(&sealed[c], b, bytes, |_, _, cum| sink += cum).expect("block walks");
+    }
+    let decode_s = start.elapsed().as_secs_f64();
+    assert!(sink.is_finite());
+    let per = hits.len().max(1) as f64;
+    Layers {
+        boundaries: hits.len(),
+        footer_search_ns: search_s * 1e9 / per,
+        block_read_us: read_s * 1e6 / per,
+        decode_integrate_us: decode_s * 1e6 / per,
+    }
 }

@@ -8,6 +8,7 @@
 use crate::error::TgiError;
 use crate::tgi::TgiResult;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One system's entry in a ranking.
@@ -55,11 +56,50 @@ impl Ranking {
     /// scores: NaN has no place in a total order, and a ±∞ "score" always
     /// indicates an upstream division gone wrong, not a green machine.
     pub fn try_add(&mut self, name: impl Into<String>, tgi: f64) -> Result<(), TgiError> {
-        if !tgi.is_finite() {
+        self.insert(RankedSystem { name: name.into(), tgi, detail: None })
+    }
+
+    /// Builds a ranking from `(name, score)` pairs in one pass: every score
+    /// is validated first — a non-finite one is rejected and nothing is
+    /// built — then the list is sorted once, into the order the same
+    /// [`Ranking::try_add`] calls reach one insert at a time.
+    pub fn try_from_scores<N: Into<String>>(
+        scores: impl IntoIterator<Item = (N, f64)>,
+    ) -> Result<Ranking, TgiError> {
+        Ranking::from_entries(
+            scores
+                .into_iter()
+                .map(|(name, tgi)| RankedSystem { name: name.into(), tgi, detail: None })
+                .collect(),
+        )
+    }
+
+    /// [`Ranking::try_from_scores`] for full TGI decompositions, as
+    /// [`Ranking::try_add_result`] adds them.
+    pub fn try_from_results<N: Into<String>>(
+        results: impl IntoIterator<Item = (N, TgiResult)>,
+    ) -> Result<Ranking, TgiError> {
+        Ranking::from_entries(results.into_iter().map(|(name, r)| ranked_result(name, r)).collect())
+    }
+
+    fn from_entries(mut entries: Vec<RankedSystem>) -> Result<Ranking, TgiError> {
+        if entries.iter().any(|e| !e.tgi.is_finite()) {
             return Err(TgiError::NotFinite { quantity: "ranking score" });
         }
-        self.entries.push(RankedSystem { name: name.into(), tgi, detail: None });
-        self.sort();
+        // Stable, so equal entries keep their input order, as repeated
+        // inserts keep theirs.
+        entries.sort_by(order);
+        Ok(Ranking { entries })
+    }
+
+    /// Inserts after every entry that does not rank below it: the position
+    /// a push followed by a stable sort would give, without the sort.
+    fn insert(&mut self, entry: RankedSystem) -> Result<(), TgiError> {
+        if !entry.tgi.is_finite() {
+            return Err(TgiError::NotFinite { quantity: "ranking score" });
+        }
+        let at = self.entries.partition_point(|e| order(e, &entry) != Ordering::Greater);
+        self.entries.insert(at, entry);
         Ok(())
     }
 
@@ -78,25 +118,7 @@ impl Ranking {
         name: impl Into<String>,
         result: TgiResult,
     ) -> Result<(), TgiError> {
-        if !result.value().is_finite() {
-            return Err(TgiError::NotFinite { quantity: "ranking score" });
-        }
-        self.entries.push(RankedSystem {
-            name: name.into(),
-            tgi: result.value(),
-            detail: Some(result),
-        });
-        self.sort();
-        Ok(())
-    }
-
-    fn sort(&mut self) {
-        self.entries.sort_by(|a, b| {
-            b.tgi
-                .partial_cmp(&a.tgi)
-                .expect("TGI values are finite")
-                .then_with(|| a.name.cmp(&b.name))
-        });
+        self.insert(ranked_result(name, result))
     }
 
     /// The ranked entries, greenest first.
@@ -123,6 +145,17 @@ impl Ranking {
     pub fn greenest(&self) -> Option<&RankedSystem> {
         self.entries.first()
     }
+}
+
+/// A decomposition's ranking entry, scored by its TGI value.
+fn ranked_result(name: impl Into<String>, result: TgiResult) -> RankedSystem {
+    RankedSystem { name: name.into(), tgi: result.value(), detail: Some(result) }
+}
+
+/// The ranking order: descending TGI, ties broken by ascending name.
+/// Scores are finite (checked on the way in).
+fn order(a: &RankedSystem, b: &RankedSystem) -> Ordering {
+    b.tgi.partial_cmp(&a.tgi).expect("TGI values are finite").then_with(|| a.name.cmp(&b.name))
 }
 
 impl fmt::Display for Ranking {
@@ -235,6 +268,33 @@ mod tests {
     #[should_panic(expected = "TGI values are finite")]
     fn add_panics_on_nan() {
         Ranking::new().add("broken", f64::NAN);
+    }
+
+    #[test]
+    fn bulk_build_equals_incremental_build_including_ties() {
+        let scores: Vec<(String, f64)> = (0..200)
+            .map(|i| (format!("sys-{:03}", (i * 37) % 200), ((i * 7) % 13) as f64 * 0.125))
+            .chain([("dup".to_string(), 0.5), ("dup".to_string(), 0.5)])
+            .collect();
+        let mut incremental = Ranking::new();
+        for (name, tgi) in &scores {
+            incremental.try_add(name.clone(), *tgi).unwrap();
+        }
+        let bulk = Ranking::try_from_scores(scores.iter().cloned()).unwrap();
+        assert_eq!(bulk, incremental);
+        let tgis: Vec<f64> = bulk.entries().iter().map(|e| e.tgi).collect();
+        assert!(tgis.windows(2).all(|w| w[0] >= w[1]));
+        // Ties (12+ systems share each score) order by name.
+        assert!(bulk.entries().windows(2).all(|w| w[0].tgi > w[1].tgi || w[0].name <= w[1].name));
+    }
+
+    #[test]
+    fn bulk_build_rejects_a_non_finite_score_whole() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = Ranking::try_from_scores([("a", 1.0), ("broken", bad), ("b", 2.0)]);
+            assert!(matches!(err, Err(TgiError::NotFinite { quantity: "ranking score" })));
+        }
+        assert!(Ranking::try_from_scores(Vec::<(String, f64)>::new()).unwrap().is_empty());
     }
 
     #[test]

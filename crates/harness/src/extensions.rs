@@ -117,20 +117,20 @@ pub fn more_systems_ranking(reference: &ReferenceSystem) -> Result<Ranking, TgiE
     gpu_low_io.name = "Fire-GPU-SlowFS".to_string();
     gpu_low_io.shared_fs.server_cap_mbps /= 2.0;
 
-    let mut ranking = Ranking::new();
+    let mut results = Vec::new();
     for cluster in [ClusterSpec::fire(), ClusterSpec::fire_gpu(), ClusterSpec::sandy(), gpu_low_io]
     {
         let measurements = run_suite(&cluster);
         let result =
             Tgi::builder().reference(reference.clone()).measurements(measurements).compute()?;
-        ranking.add_result(cluster.name.clone(), result);
+        results.push((cluster.name, result));
     }
     // The reference itself always ranks at TGI = 1 by construction.
     let self_suite: Vec<Measurement> = reference.iter().map(|(_, m)| m.clone()).collect();
     let self_result =
         Tgi::builder().reference(reference.clone()).measurements(self_suite).compute()?;
-    ranking.add_result(reference.name().to_string(), self_result);
-    Ok(ranking)
+    results.push((reference.name().to_string(), self_result));
+    Ranking::try_from_results(results)
 }
 
 /// DVFS extension: sweep the CPU clock from 50% to 100% of nominal on Fire

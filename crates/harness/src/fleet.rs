@@ -506,11 +506,12 @@ impl FleetTable {
         weighting: usize,
         mean: usize,
     ) -> Result<Ranking, TgiError> {
-        let mut ranking = Ranking::new();
-        for (s, name) in self.systems.iter().enumerate() {
-            ranking.try_add(name.clone(), self.value(s, suite, weighting, mean))?;
-        }
-        Ok(ranking)
+        Ranking::try_from_scores(
+            self.systems
+                .iter()
+                .enumerate()
+                .map(|(s, name)| (name.as_str(), self.value(s, suite, weighting, mean))),
+        )
     }
 
     /// Long-format CSV: one `system,nodes,cores,pue,suite,weighting,mean,tgi`

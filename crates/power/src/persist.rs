@@ -9,9 +9,9 @@
 //!   lossless at the bit-pattern level).
 //! * [`StoreBackedTrace`] is a query handle over an open store with the
 //!   `PowerTrace` query surface — `energy`, `energy_between`, `power_at`,
-//!   `window`, peak/min — answering from chunk footers and at most the
-//!   window's two boundary chunks, bit-identical to the in-memory prefix
-//!   index over the same samples.
+//!   `window`, peak/min — answering from chunk footers and at most one
+//!   restart block per window boundary, bit-identical to the in-memory
+//!   prefix index over the same samples.
 //! * `BackgroundSampler::start_streaming` (in [`crate::sampler`]) records
 //!   straight into an open store, so long captures never hold the full
 //!   trace in memory.
@@ -155,8 +155,8 @@ impl StoreBackedTrace {
     }
 
     /// Trapezoidal energy over `[t0, t1]` clamped to the stored span —
-    /// footer binary search, decompressing at most the two boundary
-    /// chunks.
+    /// footer and restart-index binary search, decoding at most two
+    /// blocks.
     ///
     /// # Panics
     /// Panics if either bound is NaN, mirroring

@@ -3,12 +3,17 @@
 //! Builds one randomized trace, persists it, and asserts that every query
 //! the store answers is `to_bits`-identical to the in-memory `PowerTrace`
 //! over the same samples — while the store's decompression counter proves
-//! each energy window touched at most its two boundary chunks.
+//! each energy window touched at most its two boundary chunks. Chunks
+//! larger than the restart interval `K` are checked at their restart
+//! points too (windows ending exactly on them, duplicate runs across a
+//! block edge, and stores after both compaction paths), with at most `K`
+//! samples decoded per query bound.
 
 use power_model::persist::StoreBackedTrace;
 use power_model::PowerTrace;
 use std::path::PathBuf;
 use tgi_core::Watts;
+use tgi_trace_store::chunk::RESTART_INTERVAL as K;
 use tgi_trace_store::StoreConfig;
 
 struct ScratchDir(PathBuf);
@@ -166,4 +171,135 @@ fn reopened_store_stays_bit_identical() {
     let restored = backed.to_trace().unwrap();
     assert_eq!(restored, trace);
     assert_eq!(restored.prefix_energy(), trace.prefix_energy());
+}
+
+/// A chunk of three full restart blocks plus a partial fourth.
+const MULTI_BLOCK_CHUNK: usize = 3 * K + 517;
+
+/// `synth`, with a run of six duplicate timestamps (distinct watts) across
+/// the first restart edge (samples `K - 3 ..= K + 2`), so the restart
+/// sample `K - 1` repeats into block 1.
+fn synth_with_edge_duplicates(n: usize, seed: u64) -> PowerTrace {
+    let base = synth(n, seed);
+    let mut trace = PowerTrace::with_capacity(n);
+    let dup_t = base.times()[K - 3];
+    for (i, (&t, &w)) in base.times().iter().zip(base.watts()).enumerate() {
+        if (K - 3..=K + 2).contains(&i) {
+            trace.push(dup_t, Watts::new(100.0 + i as f64));
+        } else {
+            trace.push(t, Watts::new(w));
+        }
+    }
+    trace
+}
+
+/// Every query at and around each restart point, chunk edge, and first
+/// and last block matches the oracle bitwise, and no window decodes more
+/// than two blocks or `2 K` samples.
+fn assert_restart_points_match(backed: &StoreBackedTrace, trace: &PowerTrace) {
+    let store = backed.store();
+    let (first, last) = trace.time_bounds().unwrap();
+    let mut probes = vec![first, last];
+    for chunk in store.sealed() {
+        let m = &chunk.meta;
+        probes.extend([m.first_t, m.last_t, (m.first_t + m.last_t) / 2.0]);
+        for block in &chunk.blocks[1..] {
+            let key = block.key();
+            probes.extend([key, key - 0.25, key + 0.25, key + 0.5]);
+        }
+        // Inside the first and the last block.
+        let b0_end = chunk.blocks.get(1).map_or(m.last_t, |b| b.key());
+        let last_key = chunk.blocks.last().unwrap().key().max(m.first_t);
+        probes.extend([m.first_t + 0.5, (m.first_t + b0_end) / 2.0, (last_key + m.last_t) / 2.0]);
+    }
+    for &a in &probes {
+        assert_eq!(
+            backed.power_at(a).unwrap().map(|w| w.value().to_bits()),
+            trace.power_at(a).map(|w| w.value().to_bits()),
+            "power_at({a})"
+        );
+        for &b in &[first, last, a + 0.75, a + 3_000.0] {
+            store.reset_decompressions();
+            let got = backed.energy_between(a, b).unwrap().value();
+            assert_eq!(
+                got.to_bits(),
+                trace.energy_between(a, b).value().to_bits(),
+                "energy_between({a}, {b})"
+            );
+            assert!(store.decompressions() <= 2, "energy_between({a}, {b}) decoded > 2 blocks");
+            assert!(store.decoded_samples() <= 2 * K as u64, "energy_between({a}, {b})");
+            let got = backed.average_power_between(a, b).unwrap().value();
+            assert_eq!(
+                got.to_bits(),
+                trace.average_power_between(a, b).value().to_bits(),
+                "average_power_between({a}, {b})"
+            );
+        }
+    }
+}
+
+#[test]
+fn restart_points_are_bit_identical_to_memory_oracle() {
+    let scratch = ScratchDir::new("restart");
+    let trace = synth_with_edge_duplicates(2 * MULTI_BLOCK_CHUNK + 1_000, 0xB10C);
+    let config = StoreConfig { chunk_samples: MULTI_BLOCK_CHUNK, retain_seconds: None };
+    drop(trace.to_store(&scratch.0, config.clone()).unwrap());
+    let backed = StoreBackedTrace::open(&scratch.0, config).unwrap();
+    let store = backed.store();
+    assert_eq!(store.sealed_chunks(), 2);
+    assert!(store.sealed().iter().all(|c| c.blocks.len() == 4), "want 4 restart blocks per chunk");
+    assert_restart_points_match(&backed, &trace);
+
+    // The duplicate run across the first restart edge: power_at reports
+    // the last duplicate's watts, and an energy bound on it is answered
+    // from the restart point without decoding.
+    let dup_t = trace.times()[K - 1];
+    assert_eq!(store.sealed()[0].blocks[1].key(), dup_t);
+    assert_eq!(backed.power_at(dup_t).unwrap().unwrap().value(), 100.0 + (K + 2) as f64);
+    let edge = store.sealed()[0].meta.last_t;
+    store.reset_decompressions();
+    let got = backed.energy_between(dup_t, edge).unwrap().value();
+    assert_eq!(got.to_bits(), trace.energy_between(dup_t, edge).value().to_bits());
+    assert_eq!(store.decompressions(), 0, "bounds on a restart point and a chunk edge");
+
+    // A window strictly inside one block decodes that block alone.
+    let inside = trace.times()[K + 100] + 0.5;
+    store.reset_decompressions();
+    backed.energy_between(inside, inside + 10.0).unwrap();
+    assert_eq!(store.decompressions(), 2);
+    assert!(store.decoded_samples() <= 2 * K as u64);
+}
+
+#[test]
+fn compacted_restart_stores_stay_bit_identical() {
+    // Verbatim path: full multi-block chunks survive compaction alone and
+    // are copied with their trailers; the active tail seals fresh.
+    let scratch = ScratchDir::new("compact_copy");
+    let trace = synth_with_edge_duplicates(2 * MULTI_BLOCK_CHUNK + 3_000, 5);
+    let config = StoreConfig { chunk_samples: MULTI_BLOCK_CHUNK, retain_seconds: None };
+    let mut backed = StoreBackedTrace::new(trace.to_store(&scratch.0, config.clone()).unwrap());
+    let blocks_before: Vec<_> = backed.store().sealed().iter().map(|c| c.blocks.clone()).collect();
+    let stats = backed.store_mut().compact().unwrap();
+    assert_eq!((stats.chunks_before, stats.chunks_after), (2, 3));
+    let blocks_after: Vec<_> = backed.store().sealed().iter().map(|c| c.blocks.clone()).collect();
+    assert_eq!(blocks_after[..2], blocks_before[..], "verbatim copies keep their index");
+    assert_eq!(blocks_after[2].len(), 2, "the sealed 3000-sample tail has two blocks");
+    assert_restart_points_match(&backed, &trace);
+    drop(backed);
+    let backed = StoreBackedTrace::open(&scratch.0, config).unwrap();
+    assert_restart_points_match(&backed, &trace);
+
+    // Re-encode path: many one-block chunks merge into multi-block ones.
+    let scratch = ScratchDir::new("compact_merge");
+    drop(trace.to_store(&scratch.0, StoreConfig { chunk_samples: 700, retain_seconds: None }));
+    let config = StoreConfig { chunk_samples: MULTI_BLOCK_CHUNK, retain_seconds: None };
+    let mut backed = StoreBackedTrace::open(&scratch.0, config.clone()).unwrap();
+    assert!(backed.store().sealed().iter().all(|c| c.blocks.len() == 1));
+    backed.store_mut().compact().unwrap();
+    assert!(backed.store().sealed().iter().any(|c| c.blocks.len() == 4), "merged chunks index");
+    assert_restart_points_match(&backed, &trace);
+    assert_eq!(backed.to_trace().unwrap(), trace);
+    drop(backed);
+    let backed = StoreBackedTrace::open(&scratch.0, config).unwrap();
+    assert_restart_points_match(&backed, &trace);
 }

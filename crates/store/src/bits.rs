@@ -77,35 +77,94 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0, len }
     }
 
+    /// A cursor at bit `pos` over `len` valid bits of `bytes` — how a
+    /// decoder resumes mid-stream from a restart point.
+    pub fn at(bytes: &'a [u8], pos: usize, len: usize) -> Self {
+        BitReader { bytes, pos, len }
+    }
+
+    /// Absolute bit position of the cursor.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Bits left to read.
     pub fn remaining(&self) -> usize {
         self.len.saturating_sub(self.pos)
     }
 
-    /// Reads one bit; `None` past the end.
-    pub fn read_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.len {
+    /// The next 64 bits from the cursor, most significant first, zero past
+    /// the end of the bytes. Bits past the valid length may be anything:
+    /// callers decide on peeked bits only after [`BitReader::skip`] or a
+    /// read has checked that they exist.
+    #[inline]
+    pub fn peek(&self) -> u64 {
+        peek_at(self.bytes, self.pos)
+    }
+
+    /// The underlying bytes and the valid bit length, for loops that keep
+    /// the cursor in a local and [`BitReader::seek`] back.
+    pub(crate) fn parts(&self) -> (&'a [u8], usize) {
+        (self.bytes, self.len)
+    }
+
+    /// Moves the cursor to bit `pos` (at most the valid length).
+    pub(crate) fn seek(&mut self, pos: usize) {
+        debug_assert!(pos <= self.len);
+        self.pos = pos;
+    }
+
+    /// Advances over `n` bits; `None` (cursor unmoved) if fewer remain.
+    #[inline]
+    pub fn skip(&mut self, n: usize) -> Option<()> {
+        if self.remaining() < n {
             return None;
         }
-        let byte = self.bytes[self.pos / 8];
-        let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
-        Some(bit)
+        self.pos += n;
+        Some(())
+    }
+
+    /// Reads one bit; `None` past the end.
+    #[inline]
+    pub fn read_bit(&mut self) -> Option<bool> {
+        Some(self.read_bits(1)? == 1)
     }
 
     /// Reads `n` bits (1..=64), most significant first; `None` if fewer
     /// remain.
+    #[inline]
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
         debug_assert!((1..=64).contains(&n), "read_bits width {n}");
         if self.remaining() < n as usize {
             return None;
         }
-        let mut out = 0u64;
-        for _ in 0..n {
-            out = (out << 1) | (self.read_bit()? as u64);
-        }
+        // One peek holds at least 57 bits; wider fields take two.
+        let out = if n <= 56 {
+            self.peek() >> (64 - n)
+        } else {
+            let high = self.peek() >> 32;
+            (high << (n - 32)) | (peek_at(self.bytes, self.pos + 32) >> (96 - n))
+        };
+        self.pos += n as usize;
         Some(out)
     }
+}
+
+/// The 64 bits of `bytes` from bit `pos`, most significant first, zero
+/// past the end of the bytes.
+#[inline]
+pub(crate) fn peek_at(bytes: &[u8], pos: usize) -> u64 {
+    let i = pos / 8;
+    let word = match bytes.get(i..i + 8) {
+        Some(eight) => u64::from_be_bytes(eight.try_into().expect("8 bytes")),
+        None => {
+            let mut buf = [0u8; 8];
+            let tail = bytes.get(i..).unwrap_or_default();
+            buf[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(buf)
+        }
+    };
+    word << (pos % 8)
 }
 
 #[cfg(test)]
@@ -154,6 +213,22 @@ mod tests {
         assert_eq!(r.read_bits(10), Some(0x3FF));
         assert_eq!(r.read_bits(7), None, "only 6 bits remain");
         assert_eq!(r.read_bits(6), Some(0x3F));
+    }
+
+    #[test]
+    fn reader_resumes_at_any_bit_position() {
+        let mut w = BitWriter::new();
+        w.push_bits(0b1011, 4);
+        w.push_bits(0xDEAD_BEEF_0123_4567, 64);
+        w.push_bits(0b01, 2);
+        let (bytes, len) = w.finish();
+        let mut r = BitReader::at(&bytes, 4, len);
+        assert_eq!(r.read_bits(64), Some(0xDEAD_BEEF_0123_4567));
+        assert_eq!(r.position(), 68);
+        assert_eq!(r.read_bits(2), Some(0b01));
+        // A sub-slice starting at byte 1 holds the same bits shifted by 8.
+        let mut r = BitReader::at(&bytes[1..], 12 - 8, len - 8);
+        assert_eq!(r.read_bits(8), Some(0xAD));
     }
 
     #[test]

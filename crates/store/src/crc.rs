@@ -5,12 +5,13 @@
 //! on open instead of surfacing as corrupt samples. The build environment
 //! is offline, so the checksum is implemented here rather than pulled in.
 
-/// The 256-entry lookup table for the reflected IEEE polynomial, built at
-/// compile time.
-const TABLE: [u32; 256] = build_table();
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial, built at
+/// compile time: `TABLES[0]` is the classic byte table, `TABLES[k]` advances
+/// a byte through `k` further zero bytes.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -19,18 +20,42 @@ const fn build_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// CRC-32 of `bytes` (initial value 0xFFFF_FFFF, final XOR 0xFFFF_FFFF —
-/// the standard zlib/IEEE convention).
+/// the standard zlib/IEEE convention), eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -45,6 +70,18 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn matches_the_bytewise_definition_at_every_length() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..data.len() {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in &data[..len] {
+                crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            assert_eq!(crc32(&data[..len]), crc ^ 0xFFFF_FFFF, "length {len}");
+        }
     }
 
     #[test]

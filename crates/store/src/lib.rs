@@ -13,14 +13,17 @@
 //!   `to_bits`-identical to what was appended.
 //! * **Chunks** ([`chunk`]): fixed-sample-count sealed chunks in one
 //!   append-only segment file, each with a fixed-size footer (first/last
-//!   timestamp and watts, prefix-energy snapshots, peak/min, CRCs).
-//!   Footers stay resident; payloads stay on disk.
+//!   timestamp and watts, prefix-energy snapshots, peak/min, CRCs) and a
+//!   restart trailer splitting its bit stream into CRC'd blocks of `K`
+//!   samples. Footers and block indexes stay resident; payloads stay on
+//!   disk.
 //! * **WAL** ([`wal`]): the active chunk is write-ahead logged as raw
 //!   length-prefixed records; open-time recovery truncates torn tails and
 //!   never surfaces an invalid sample.
 //! * **Store** ([`store`]): [`TraceStore`] ties them together — validated
-//!   appends, footer binary-search queries that decompress at most the
-//!   two boundary chunks of a window, and retention/merge compaction.
+//!   appends, footer and restart-index binary-search queries that decode
+//!   at most one block of `K` samples per window boundary, and
+//!   retention/merge compaction.
 //!
 //! The store maintains the same running trapezoid accumulation chain as
 //! the in-memory `PowerTrace` prefix index, snapshotted into every

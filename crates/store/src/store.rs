@@ -6,18 +6,23 @@
 //! ([`crate::chunk`]) every `chunk_samples` samples. The store maintains
 //! the *same running trapezoid accumulation chain* as the in-memory
 //! `PowerTrace` prefix index — each chunk footer snapshots that chain at
-//! the chunk's first and last sample — so energy queries answered from
-//! footers and boundary chunks are bit-identical (`to_bits`-equal) to the
-//! in-memory structure over the same samples.
+//! the chunk's first and last sample, each restart point at its sample —
+//! so energy queries answered from the index and boundary blocks are
+//! bit-identical (`to_bits`-equal) to the in-memory structure over the
+//! same samples.
 //!
 //! Queries binary-search the resident footers. A query time that lands
-//! *between* chunks (or exactly on a chunk edge) is answered from footers
-//! alone; one that lands inside a chunk decompresses exactly that chunk.
-//! `energy_between` therefore decompresses at most its two boundary
-//! chunks, regardless of store size — O(log n) search plus O(chunk) work.
+//! *between* chunks (or exactly on a chunk edge or restart point) is
+//! answered from the resident index alone; one that lands inside a chunk
+//! binary-searches that chunk's restart blocks, reads and CRC-checks the
+//! one block holding it, and decodes at most `K`
+//! ([`chunk::RESTART_INTERVAL`]) samples in one streaming loop that
+//! advances the chain as it goes and checks it against the next restart
+//! point. `energy_between` therefore decodes at most two blocks, regardless
+//! of store size — O(log n + K) per query.
 
-use crate::chunk::{self, ChunkMeta, BLOCK_HEADER_LEN, FOOTER_LEN};
-use crate::codec::{self, Encoder};
+use crate::chunk::{self, ChunkMeta, Restart, SealedChunk, BLOCK_HEADER_LEN, FOOTER_LEN};
+use crate::codec::Encoder;
 use crate::crc::crc32;
 use crate::wal;
 use std::fs::{File, OpenOptions};
@@ -34,9 +39,10 @@ pub const WAL_FILE: &str = "wal.tgw";
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Samples per sealed chunk. Larger chunks compress better and keep
-    /// fewer footers resident; smaller chunks decompress faster on
-    /// boundary queries.
+    /// Samples per sealed chunk (one fsync per seal). Larger chunks
+    /// compress better and keep fewer footers resident; a boundary query
+    /// decodes one restart block of at most `K` samples whatever the
+    /// chunk size.
     pub chunk_samples: usize,
     /// Retention horizon for [`TraceStore::compact`]: sealed chunks whose
     /// entire span is older than `last_time - retain_seconds` are dropped.
@@ -115,9 +121,6 @@ pub struct CompactionStats {
     pub bytes_after: u64,
 }
 
-/// Decoded chunk columns: `(times, watts, cum)`.
-type ChunkColumns = (Vec<f64>, Vec<f64>, Vec<f64>);
-
 /// The last appended sample and the accumulation chain value at it.
 #[derive(Debug, Clone, Copy)]
 struct LastSample {
@@ -147,8 +150,9 @@ pub struct TraceStore {
     segment_len: u64,
     wal_file: File,
     wal_len: u64,
-    /// Resident footers of the sealed chunks, in sample order.
-    chunks: Vec<ChunkMeta>,
+    /// Resident footers and block indexes of the sealed chunks, in sample
+    /// order.
+    chunks: Vec<SealedChunk>,
     /// Lifetime sample index of the first *active* sample (total samples
     /// sealed, after any retention rebase).
     sealed_count: u64,
@@ -162,10 +166,12 @@ pub struct TraceStore {
     /// Running extrema over the stored samples (footer-derived on open).
     peak_w: f64,
     min_w: f64,
-    /// Chunk decompressions performed by queries since open (or the last
+    /// Blocks read and decoded by queries since open (or the last
     /// [`TraceStore::reset_decompressions`]) — the observable the bench
     /// uses to prove boundary-only decompression.
     decompressions: AtomicU64,
+    /// Samples those block decodes produced.
+    decoded_samples: AtomicU64,
 }
 
 impl TraceStore {
@@ -190,32 +196,34 @@ impl TraceStore {
         // tail, same as a torn block.
         let mut keep = 0usize;
         let mut prev_last = f64::NEG_INFINITY;
-        for meta in &chunks {
-            let ok = meta.first_t.is_finite()
-                && meta.first_t >= 0.0
-                && meta.first_t <= meta.last_t
-                && meta.first_t >= prev_last;
+        for ChunkMeta { first_t, last_t, .. } in chunks.iter().map(|c| c.meta) {
+            let ok =
+                first_t.is_finite() && first_t >= 0.0 && first_t <= last_t && first_t >= prev_last;
             if !ok {
                 break;
             }
-            prev_last = meta.last_t;
+            prev_last = last_t;
             keep += 1;
         }
         if keep < chunks.len() {
             chunks.truncate(keep);
             valid_len = chunks
                 .last()
-                .map(|m| m.payload_offset + m.payload_len as u64 + FOOTER_LEN as u64)
+                .map(|c| c.meta.payload_offset + c.meta.payload_len as u64 + FOOTER_LEN as u64)
                 .unwrap_or(0);
         }
         if segment.seek(SeekFrom::End(0))? > valid_len {
             segment.set_len(valid_len)?;
             segment.sync_data()?;
         }
-        let sealed_count: u64 = chunks.iter().map(|m| m.count).sum();
-        let last = chunks.last().map(|m| LastSample { t: m.last_t, w: m.last_w, cum: m.cum_last });
-        let peak_w = chunks.iter().map(|m| m.peak_w).fold(0.0, f64::max);
-        let min_w = chunks.iter().map(|m| m.min_w).fold(f64::INFINITY, f64::min);
+        let sealed_count: u64 = chunks.iter().map(|c| c.meta.count).sum();
+        let last = chunks.last().map(|c| LastSample {
+            t: c.meta.last_t,
+            w: c.meta.last_w,
+            cum: c.meta.cum_last,
+        });
+        let peak_w = chunks.iter().map(|c| c.meta.peak_w).fold(0.0, f64::max);
+        let min_w = chunks.iter().map(|c| c.meta.min_w).fold(f64::INFINITY, f64::min);
         let mut wal_file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -247,6 +255,7 @@ impl TraceStore {
             peak_w,
             min_w,
             decompressions: AtomicU64::new(0),
+            decoded_samples: AtomicU64::new(0),
         };
         // Replay the surviving active samples through the normal ingest
         // path (already validated by `wal::replay`); if the configured
@@ -375,13 +384,13 @@ impl TraceStore {
     /// the active columns. The caller fsyncs and resets the WAL.
     fn seal_active(&mut self) -> Result<(), StoreError> {
         debug_assert!(!self.active_t.is_empty(), "sealing an empty active chunk");
-        let (meta, payload) = encode_chunk(&self.active_t, &self.active_w, &self.active_cum);
+        let (mut sealed, payload) = encode_chunk(&self.active_t, &self.active_w, &self.active_cum);
         let file = self.segment.get_mut().expect("segment lock");
-        let new_len = chunk::append_block(file, self.segment_len, &meta, &payload)?;
-        self.chunks
-            .push(ChunkMeta { payload_offset: self.segment_len + BLOCK_HEADER_LEN as u64, ..meta });
+        let new_len = chunk::append_block(file, self.segment_len, &sealed.meta, &payload)?;
+        sealed.meta.payload_offset = self.segment_len + BLOCK_HEADER_LEN as u64;
         self.segment_len = new_len;
-        self.sealed_count += meta.count;
+        self.sealed_count += sealed.meta.count;
+        self.chunks.push(sealed);
         self.active_t.clear();
         self.active_w.clear();
         self.active_cum.clear();
@@ -432,22 +441,37 @@ impl TraceStore {
         self.segment_len + self.wal_len
     }
 
-    /// Chunk decompressions performed by queries since open or the last
-    /// [`TraceStore::reset_decompressions`].
+    /// The resident footers and restart-block indexes of the sealed
+    /// chunks, in sample order.
+    pub fn sealed(&self) -> &[SealedChunk] {
+        &self.chunks
+    }
+
+    /// Blocks read and decoded by queries since open or the last
+    /// [`TraceStore::reset_decompressions`] (a chunk without a restart
+    /// trailer is one block).
     pub fn decompressions(&self) -> u64 {
         self.decompressions.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the decompression counter (bench instrumentation).
+    /// Samples decoded by those block reads — at most `K` per block.
+    pub fn decoded_samples(&self) -> u64 {
+        self.decoded_samples.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes the decompression and decoded-sample counters (bench
+    /// instrumentation).
     pub fn reset_decompressions(&self) {
         self.decompressions.store(0, Ordering::Relaxed);
+        self.decoded_samples.store(0, Ordering::Relaxed);
     }
 
     /// First and last sample timestamps, when non-empty.
     pub fn time_bounds(&self) -> Option<(f64, f64)> {
         let first =
-            self.chunks.first().map(|m| m.first_t).or_else(|| self.active_t.first().copied());
-        let last = self.active_t.last().copied().or_else(|| self.chunks.last().map(|m| m.last_t));
+            self.chunks.first().map(|c| c.meta.first_t).or_else(|| self.active_t.first().copied());
+        let last =
+            self.active_t.last().copied().or_else(|| self.chunks.last().map(|c| c.meta.last_t));
         match (first, last) {
             (Some(a), Some(b)) => Some((a, b)),
             _ => None,
@@ -467,7 +491,7 @@ impl TraceStore {
         let base = self
             .chunks
             .first()
-            .map(|m| m.cum_first)
+            .map(|c| c.meta.cum_first)
             .or_else(|| self.active_cum.first().copied())
             .unwrap_or(0.0);
         last - base
@@ -491,60 +515,45 @@ impl TraceStore {
         }
     }
 
-    /// Reads, checksums, decodes, and re-chains one sealed chunk,
-    /// returning `(times, watts, cum)` columns. The cum column is rebuilt
-    /// from the footer's `cum_first` snapshot with the same arithmetic the
-    /// chain used at append time, so it is bit-identical to the original.
-    fn read_chunk(&self, idx: usize) -> Result<ChunkColumns, StoreError> {
-        let meta = &self.chunks[idx];
-        let payload = {
+    /// Reads block `b` of sealed chunk `c` and walks it with
+    /// [`chunk::walk_block`]: CRC check, one streaming decode that
+    /// advances the chain, and the end-of-block checks. `visit(t, w, cum)`
+    /// sees each sample; on error, whatever it gathered is meaningless.
+    fn walk(&self, c: usize, b: usize, visit: impl FnMut(f64, f64, f64)) -> Result<(), StoreError> {
+        let chunk = &self.chunks[c];
+        let bytes = {
             let mut file = self.segment.lock().expect("segment lock");
-            chunk::read_payload(&mut *file, meta)?
+            chunk::read_block(&mut *file, &chunk.meta, &chunk.blocks[b])?
         };
         self.decompressions.fetch_add(1, Ordering::Relaxed);
-        if crc32(&payload) != meta.payload_crc {
-            return Err(StoreError::Corrupt {
-                detail: format!("chunk {idx}: payload checksum mismatch"),
-            });
+        let decoded = chunk::walk_block(chunk, b, &bytes, visit)
+            .map_err(|e| StoreError::Corrupt { detail: format!("chunk {c} block {b}: {e}") })?;
+        self.decoded_samples.fetch_add(decoded, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Walks every block of sealed chunk `c` in order (see
+    /// [`TraceStore::walk`]).
+    fn walk_chunk(&self, c: usize, mut visit: impl FnMut(f64, f64, f64)) -> Result<(), StoreError> {
+        for b in 0..self.chunks[c].blocks.len() {
+            self.walk(c, b, &mut visit)?;
         }
-        let (times, watts) = codec::decode(&payload, meta.bit_len as usize, meta.count as usize)
-            .map_err(|e| StoreError::Corrupt { detail: format!("chunk {idx}: {e}") })?;
-        let edges_match = times.first().map(|t| t.to_bits()) == Some(meta.first_t.to_bits())
-            && times.last().map(|t| t.to_bits()) == Some(meta.last_t.to_bits())
-            && watts.first().map(|w| w.to_bits()) == Some(meta.first_w.to_bits())
-            && watts.last().map(|w| w.to_bits()) == Some(meta.last_w.to_bits());
-        if !edges_match {
-            return Err(StoreError::Corrupt {
-                detail: format!("chunk {idx}: decoded edge samples disagree with footer"),
-            });
-        }
-        let mut cum = Vec::with_capacity(times.len());
-        cum.push(meta.cum_first);
-        for i in 1..times.len() {
-            let dt = times[i] - times[i - 1];
-            let prev = cum[i - 1];
-            cum.push(prev + 0.5 * (watts[i - 1] + watts[i]) * dt);
-        }
-        if cum.last().map(|c| c.to_bits()) != Some(meta.cum_last.to_bits()) {
-            return Err(StoreError::Corrupt {
-                detail: format!("chunk {idx}: rebuilt energy chain disagrees with footer"),
-            });
-        }
-        Ok((times, watts, cum))
+        Ok(())
     }
 
     /// Locates the greatest sample with `time <= t` and its successor.
-    /// Requires a non-empty store and `first <= t <= last`. Decompresses a
-    /// chunk only when `t` falls strictly inside one; queries landing in
-    /// the active chunk, between chunks, or on chunk-edge samples are
+    /// Requires a non-empty store and `first <= t <= last`. Decodes one
+    /// block only when `t` falls strictly inside a chunk; queries landing
+    /// in the active chunk, between chunks, or on chunk-edge samples are
     /// answered without touching payloads.
     ///
     /// `energy_only` callers read just `cum_i` when `t` lands exactly on a
-    /// stored timestamp, which licenses one more footer shortcut: at
-    /// `t == first_t` the chain value is `cum_first` even when the
-    /// timestamp repeats into the chunk (duplicates add zero-width
-    /// trapezoids, leaving the chain bit-unchanged). `power_at` must not
-    /// take that shortcut — it needs the *last* duplicate's watts.
+    /// stored timestamp, which licenses one more shortcut: at a chunk's
+    /// `first_t`, or at a restart point's sample, the chain value is the
+    /// snapshot's even when the timestamp repeats past it (duplicates add
+    /// zero-width trapezoids, leaving the chain bit-unchanged). `power_at`
+    /// must not take that shortcut — it needs the *last* duplicate's
+    /// watts.
     fn locate(&self, t: f64, energy_only: bool) -> Result<Neighborhood, StoreError> {
         // The last sample with time <= t lives in the active chunk iff the
         // active chunk's first sample is <= t (active samples follow every
@@ -562,8 +571,9 @@ impl TraceStore {
         }
         // Otherwise it lives in the last chunk whose first sample is <= t
         // (every sample of later chunks is > t).
-        let c = self.chunks.partition_point(|m| m.first_t <= t) - 1;
-        let meta = &self.chunks[c];
+        let c = self.chunks.partition_point(|s| s.meta.first_t <= t) - 1;
+        let chunk = &self.chunks[c];
+        let meta = &chunk.meta;
         if energy_only && t <= meta.first_t {
             // Exactly on the chunk's first timestamp: the chain snapshot
             // answers the energy query without decompression.
@@ -581,7 +591,7 @@ impl TraceStore {
             let next = self
                 .chunks
                 .get(c + 1)
-                .map(|m| (m.first_t, m.first_w))
+                .map(|s| (s.meta.first_t, s.meta.first_w))
                 .or_else(|| self.active_t.first().map(|&nt| (nt, self.active_w[0])));
             return Ok(Neighborhood {
                 t_i: meta.last_t,
@@ -590,17 +600,29 @@ impl TraceStore {
                 next,
             });
         }
-        // Strictly inside the chunk: decompress it (the only payload this
-        // query touches).
-        let (times, watts, cum) = self.read_chunk(c)?;
-        let j = times.partition_point(|&x| x <= t) - 1;
-        // t < last_t guarantees a successor within this same chunk.
-        Ok(Neighborhood {
-            t_i: times[j],
-            w_i: watts[j],
-            cum_i: cum[j],
-            next: Some((times[j + 1], watts[j + 1])),
-        })
+        // Strictly inside the chunk: the last sample <= t is the restart
+        // sample before block `b` or one of the block's own samples.
+        let b = chunk.block_for(t);
+        let resume = chunk.blocks[b].resume.map(|r| (r.state.t(), r.state.w(), r.cum));
+        if let Some((t_i, w_i, cum_i)) = resume {
+            if energy_only && t <= t_i {
+                return Ok(Neighborhood { t_i, w_i, cum_i, next: None });
+            }
+        }
+        // Decode that one block (the only payload bytes this query
+        // touches). t < last_t, and the next block's key (this block's
+        // last sample) is > t, so the successor lies in this block.
+        let mut at = resume;
+        let mut next = None;
+        self.walk(c, b, |st, sw, sc| {
+            if st <= t {
+                at = Some((st, sw, sc));
+            } else if next.is_none() {
+                next = Some((st, sw));
+            }
+        })?;
+        let (t_i, w_i, cum_i) = at.expect("the block's first sample or restart sample is <= t");
+        Ok(Neighborhood { t_i, w_i, cum_i, next })
     }
 
     /// Cumulative trapezoidal energy from the (lifetime) trace start to
@@ -619,7 +641,7 @@ impl TraceStore {
     }
 
     /// Trapezoidal energy over `[t0, t1]` clamped to the stored span — a
-    /// footer binary search decompressing at most the two boundary chunks.
+    /// footer and restart-index binary search decoding at most two blocks.
     /// Returns 0 for an empty store or an empty clamped interval.
     ///
     /// # Panics
@@ -662,7 +684,7 @@ impl TraceStore {
     }
 
     /// Linearly interpolated instantaneous power at `t`; `None` outside
-    /// the stored span. Decompresses at most one chunk.
+    /// the stored span. Decodes at most one block.
     pub fn power_at(&self, t: f64) -> Result<Option<f64>, StoreError> {
         let (first, last) = match self.time_bounds() {
             Some(b) => b,
@@ -682,27 +704,36 @@ impl TraceStore {
     }
 
     /// All samples with `a <= time <= b`, as parallel columns in sample
-    /// order (the materialization behind windowed sub-traces; decompresses
-    /// every chunk overlapping the range, proportional to the output).
+    /// order (the materialization behind windowed sub-traces; decodes only
+    /// the blocks overlapping the range, proportional to the output).
     pub fn samples_in(&self, a: f64, b: f64) -> Result<(Vec<f64>, Vec<f64>), StoreError> {
         let mut times = Vec::new();
         let mut watts = Vec::new();
         if b < a {
             return Ok((times, watts));
         }
-        for idx in 0..self.chunks.len() {
-            let meta = &self.chunks[idx];
-            if meta.last_t < a {
-                continue;
-            }
-            if meta.first_t > b {
+        let start = self.chunks.partition_point(|s| s.meta.last_t < a);
+        for (c, chunk) in self.chunks.iter().enumerate().skip(start) {
+            if chunk.meta.first_t > b {
                 break;
             }
-            let (ct, cw, _) = self.read_chunk(idx)?;
-            let lo = ct.partition_point(|&x| x < a);
-            let hi = ct.partition_point(|&x| x <= b);
-            times.extend_from_slice(&ct[lo..hi]);
-            watts.extend_from_slice(&cw[lo..hi]);
+            for (j, block) in chunk.blocks.iter().enumerate() {
+                // A block's samples lie between its key (the sample before
+                // it) and the next block's key (its own last sample).
+                let upper = chunk.blocks.get(j + 1).map_or(chunk.meta.last_t, |n| n.key());
+                if upper < a {
+                    continue;
+                }
+                if block.key() > b {
+                    break;
+                }
+                self.walk(c, j, |t, w, _| {
+                    if a <= t && t <= b {
+                        times.push(t);
+                        watts.push(w);
+                    }
+                })?;
+            }
         }
         let lo = self.active_t.partition_point(|&x| x < a);
         let hi = self.active_t.partition_point(|&x| x <= b);
@@ -711,15 +742,16 @@ impl TraceStore {
         Ok((times, watts))
     }
 
-    /// Materializes the whole store as parallel columns (decompresses
+    /// Materializes the whole store as parallel columns (decodes
     /// everything; the bulk-export path).
     pub fn to_columns(&self) -> Result<(Vec<f64>, Vec<f64>), StoreError> {
         let mut times = Vec::with_capacity(self.len() as usize);
         let mut watts = Vec::with_capacity(self.len() as usize);
-        for idx in 0..self.chunks.len() {
-            let (ct, cw, _) = self.read_chunk(idx)?;
-            times.extend(ct);
-            watts.extend(cw);
+        for c in 0..self.chunks.len() {
+            self.walk_chunk(c, |t, w, _| {
+                times.push(t);
+                watts.push(w);
+            })?;
         }
         times.extend_from_slice(&self.active_t);
         watts.extend_from_slice(&self.active_w);
@@ -748,43 +780,45 @@ impl TraceStore {
             _ => None,
         };
         let first_kept = match cutoff {
-            Some(c) => self.chunks.partition_point(|m| m.last_t < c),
+            Some(c) => self.chunks.partition_point(|s| s.meta.last_t < c),
             None => 0,
         };
-        let samples_dropped: u64 = self.chunks[..first_kept].iter().map(|m| m.count).sum();
-        // Gather retained payload bytes (a straight copy for chunks that
-        // survive alone; merged groups are decoded and re-encoded).
-        let mut entries: Vec<(ChunkMeta, Vec<u8>)> = Vec::new();
+        let samples_dropped: u64 = self.chunks[..first_kept].iter().map(|s| s.meta.count).sum();
+        // Gather retained payload bytes (a straight copy, trailer included,
+        // for chunks that survive alone; merged groups are decoded and
+        // re-encoded).
+        let mut entries: Vec<(SealedChunk, Vec<u8>)> = Vec::new();
         let mut group: Vec<usize> = Vec::new();
         let mut group_count = 0u64;
         let flush = |store: &TraceStore,
                      group: &mut Vec<usize>,
-                     entries: &mut Vec<(ChunkMeta, Vec<u8>)>|
+                     entries: &mut Vec<(SealedChunk, Vec<u8>)>|
          -> Result<(), StoreError> {
             match group.len() {
                 0 => {}
                 1 => {
-                    let meta = store.chunks[group[0]];
+                    let sealed = store.chunks[group[0]].clone();
                     let payload = {
                         let mut file = store.segment.lock().expect("segment lock");
-                        chunk::read_payload(&mut *file, &meta)?
+                        chunk::read_payload(&mut *file, &sealed.meta)?
                     };
-                    if crc32(&payload) != meta.payload_crc {
+                    if crc32(&payload) != sealed.meta.payload_crc {
                         return Err(StoreError::Corrupt {
                             detail: format!("chunk {}: payload checksum mismatch", group[0]),
                         });
                     }
-                    entries.push((meta, payload));
+                    entries.push((sealed, payload));
                 }
                 _ => {
                     let mut times = Vec::new();
                     let mut watts = Vec::new();
                     let mut cum = Vec::new();
                     for &idx in group.iter() {
-                        let (ct, cw, cc) = store.read_chunk(idx)?;
-                        times.extend(ct);
-                        watts.extend(cw);
-                        cum.extend(cc);
+                        store.walk_chunk(idx, |t, w, c| {
+                            times.push(t);
+                            watts.push(w);
+                            cum.push(c);
+                        })?;
                     }
                     entries.push(encode_chunk(&times, &watts, &cum));
                 }
@@ -793,7 +827,7 @@ impl TraceStore {
             Ok(())
         };
         for idx in first_kept..self.chunks.len() {
-            let count = self.chunks[idx].count;
+            let count = self.chunks[idx].meta.count;
             if !group.is_empty() && group_count + count > self.config.chunk_samples as u64 {
                 flush(self, &mut group, &mut entries)?;
                 group_count = 0;
@@ -807,10 +841,10 @@ impl TraceStore {
         let mut tmp = File::create(&tmp_path)?;
         let mut new_chunks = Vec::with_capacity(entries.len());
         let mut offset = 0u64;
-        for (meta, payload) in &entries {
-            let new_len = chunk::append_block(&mut tmp, offset, meta, payload)?;
-            new_chunks
-                .push(ChunkMeta { payload_offset: offset + BLOCK_HEADER_LEN as u64, ..*meta });
+        for (mut sealed, payload) in entries {
+            let new_len = chunk::append_block(&mut tmp, offset, &sealed.meta, &payload)?;
+            sealed.meta.payload_offset = offset + BLOCK_HEADER_LEN as u64;
+            new_chunks.push(sealed);
             offset = new_len;
         }
         tmp.sync_all()?;
@@ -820,9 +854,9 @@ impl TraceStore {
         );
         self.segment_len = offset;
         self.chunks = new_chunks;
-        self.sealed_count = self.chunks.iter().map(|m| m.count).sum();
-        self.peak_w = self.chunks.iter().map(|m| m.peak_w).fold(0.0, f64::max);
-        self.min_w = self.chunks.iter().map(|m| m.min_w).fold(f64::INFINITY, f64::min);
+        self.sealed_count = self.chunks.iter().map(|s| s.meta.count).sum();
+        self.peak_w = self.chunks.iter().map(|s| s.meta.peak_w).fold(0.0, f64::max);
+        self.min_w = self.chunks.iter().map(|s| s.meta.min_w).fold(f64::INFINITY, f64::min);
         // The active chunk was sealed above, so the WAL covers nothing.
         self.reset_wal()?;
         Ok(CompactionStats {
@@ -835,15 +869,27 @@ impl TraceStore {
     }
 }
 
-/// Compresses one chunk's columns, producing the footer metadata (with
-/// `payload_offset` unset) and the payload bytes.
-fn encode_chunk(times: &[f64], watts: &[f64], cum: &[f64]) -> (ChunkMeta, Vec<u8>) {
+/// Compresses one chunk's columns into its payload — bit stream plus,
+/// past one block, the restart trailer — and its resident summary (with
+/// `payload_offset` unset).
+fn encode_chunk(times: &[f64], watts: &[f64], cum: &[f64]) -> (SealedChunk, Vec<u8>) {
     debug_assert!(!times.is_empty());
     let mut enc = Encoder::new();
-    for (&t, &w) in times.iter().zip(watts) {
+    let mut restarts = Vec::with_capacity(times.len() / chunk::RESTART_INTERVAL);
+    for (i, (&t, &w)) in times.iter().zip(watts).enumerate() {
+        if i > 0 && i % chunk::RESTART_INTERVAL == 0 {
+            restarts.push(Restart {
+                state: enc.state(),
+                bit_offset: enc.bit_len() as u64,
+                cum: cum[i - 1],
+            });
+        }
         enc.push(t, w);
     }
-    let (payload, bit_len) = enc.finish();
+    let (mut payload, bit_len) = enc.finish();
+    let trailer =
+        (!restarts.is_empty()).then(|| chunk::encode_trailer(&payload, bit_len as u64, &restarts));
+    payload.extend_from_slice(trailer.as_deref().unwrap_or_default());
     let meta = ChunkMeta {
         payload_offset: 0,
         payload_len: payload.len() as u32,
@@ -859,7 +905,11 @@ fn encode_chunk(times: &[f64], watts: &[f64], cum: &[f64]) -> (ChunkMeta, Vec<u8
         min_w: watts.iter().copied().fold(f64::INFINITY, f64::min),
         payload_crc: crc32(&payload),
     };
-    (meta, payload)
+    // The resident index is parsed from the trailer just written, so it is
+    // exactly what a later open reads back.
+    let sealed = SealedChunk::new(meta, trailer.as_deref());
+    debug_assert_eq!(sealed.blocks.len(), restarts.len() + 1, "own trailer must parse");
+    (sealed, payload)
 }
 
 #[cfg(test)]
